@@ -35,6 +35,7 @@ DOCS_DIR = REPO_ROOT / "docs"
 AUDITED_MODULES = (
     "repro.sim.campaign",
     "repro.sim.report",
+    "repro.sim.kernels.abi",
     "repro.store.fingerprint",
     "repro.store.serialize",
     "repro.store.journal",
@@ -48,8 +49,6 @@ AUDITED_MODULES = (
     "repro.analysis.rules.fingerprint",
     "repro.analysis.rules.envknobs",
     "repro.analysis.rules.forksafety",
-    "repro.analysis.rules.kernelabi",
-    "repro.analysis.cfront",
     "repro.serve.protocol",
     "repro.serve.knobs",
     "repro.serve.lane",

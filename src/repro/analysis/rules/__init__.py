@@ -13,19 +13,12 @@ SBL-FPR     Sweep-cell functions stay addressable and canonicalisable
 SBL-ENV     ``SIBYL_*`` knobs route through the shared parsing
             contract and have a ``docs/configuration.md`` row.
 SBL-FORK    Pool worker functions touch no mutable module-level state.
-SBL-ABI     Python kernel mirrors (``engine_c.py``) match the C enums,
-            sentinels, strides, and exported prototypes in the
-            ``.c`` source they name.
-SBL-DTYPE   NumPy dtypes packed into the kernel pointer table agree
-            with the C element types cast out of the same slots.
-SBL-CONST   Bit-identity magic literals shared across the language
-            boundary are declared in ``_MIRROR_CONSTANTS`` and appear
-            identically on both sides.
 SBL-PARSE   (framework) the file must parse at all.
 ==========  ===========================================================
 
 Rule IDs are append-only: never renumber or reuse one, because
 ``# sibyl: ignore[...]`` suppressions in the tree reference them.
+Retired IDs are never reused either: SBL-ABI, SBL-DTYPE, SBL-CONST.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from .envknobs import EnvKnobRule
 from .fingerprint import FingerprintRule
 from .forksafety import ForkSafetyRule
 from .hookpairs import HookPairRule
-from .kernelabi import KernelABIRule, KernelConstRule, KernelDTypeRule
 
 __all__ = [
     "DeterminismRule",
@@ -46,9 +38,6 @@ __all__ = [
     "FingerprintRule",
     "ForkSafetyRule",
     "HookPairRule",
-    "KernelABIRule",
-    "KernelConstRule",
-    "KernelDTypeRule",
     "default_rules",
 ]
 
@@ -66,9 +55,6 @@ def default_rules(only: Optional[Sequence[str]] = None) -> List[Rule]:
         FingerprintRule(),
         EnvKnobRule(),
         ForkSafetyRule(),
-        KernelABIRule(),
-        KernelDTypeRule(),
-        KernelConstRule(),
     ]
     if only is None:
         return rules

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 import time
 from collections import deque
@@ -48,6 +49,7 @@ class SpanTracer:
         self.capacity = capacity if capacity is not None else resolve_trace_buffer()
         self._events: Deque[Dict[str, object]] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
+        self._flush_lock = threading.Lock()
         self._t0 = time.perf_counter()
         self._pid = os.getpid()
         self._dropped = 0
@@ -120,26 +122,39 @@ class SpanTracer:
     def flush(self, path: Optional[str] = None) -> str:
         """Atomically write ``{"traceEvents": [...]}`` and return the path.
 
-        Same-directory tmp file + fsync + ``os.replace``, so a crashed
-        flush never leaves a torn file and a concurrent reader sees
-        either the previous complete trace or the new one.
+        Unique same-directory tmp file + fsync + ``os.replace``, so a
+        crashed flush never leaves a torn file and a concurrent reader
+        sees either the previous complete trace or the new one.  Flushes
+        serialise on their own lock, so two threads flushing at once
+        (a daemon's reaper and the CLI's exit path) cannot interleave.
         """
         target = path or self.path
         if not target:
             raise ValueError("no trace path: pass one or construct with path=")
-        events = self.events()
-        doc = {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"dropped": self.dropped, "capacity": self.capacity},
-        }
         target = os.path.abspath(target)
-        tmp = target + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
+        with self._flush_lock:
+            doc = {
+                "traceEvents": self.events(),
+                "displayTimeUnit": "ms",
+                "otherData": {"dropped": self.dropped, "capacity": self.capacity},
+            }
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(target),
+                prefix=os.path.basename(target) + ".",
+                suffix=".tmp",
+            )
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh, separators=(",", ":"))
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, target)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
         return target
 
 

@@ -24,7 +24,8 @@ the tick loop through one of two interchangeable engines:
   training event stay in Python, executing the identical serial code
   paths, while everything else — PCG64 exploration draws, feature
   binning, device latency models, LRU eviction, replay dedup — runs in
-  C with bit-identical arithmetic.
+  C with bit-identical arithmetic.  Its Python/C interface is declared
+  once, in :mod:`.abi`.
 
 Backend selection goes through the ``SIBYL_BACKEND`` knob (parsed by
 :func:`repro.sim.lanes.resolve_choice_env`):

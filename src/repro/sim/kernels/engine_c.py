@@ -23,9 +23,11 @@ in C with the same operations in the same order (``-ffp-contract=off``
 keeps the compiler from fusing them).
 
 The shared library is built on demand with the system C compiler into a
-gitignored cache keyed by the source hash; when no toolchain is
-available the backend reports itself unavailable and ``auto`` falls
-back to the NumPy engine.
+gitignored cache keyed by the hash of ``kernel.c`` plus the ABI header
+generated from :mod:`.abi`; when no toolchain is available the backend
+reports itself unavailable and ``auto`` falls back to the NumPy engine.
+A cached library whose ABI digest disagrees with the table raises
+instead (see :func:`_load`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 from collections import OrderedDict
@@ -43,99 +46,23 @@ import numpy as np
 from ...hss.hdd import HDDDevice
 from ...hss.ssd import SSDDevice
 from ...obs.tracer import span as _span
+from . import abi
+from .abi import CD, CI, DD, DI, HD, HI, ST
 from .soa import LaneSoA, TraceSoA
 
 __all__ = ["available", "unavailable_reason", "run_lanes_c", "run_one_c"]
 
-# ---------------------------------------------------------------- ABI
-# Pointer-table indices (mirror kernel.c's P_* enum).
-(
-    P_CTRL_I, P_CTRL_D, P_TS, P_OP, P_DPAGE, P_SIZE, P_UNIQ, P_LOC,
-    P_LRU_PREV, P_LRU_NEXT, P_CNT, P_LAST, P_MAXIMA, P_OBS_MAIL,
-    P_PEND_OBS, P_PEND_KEY, P_ACTION_COUNTS, P_RNG,
-    P_RB_OBS, P_RB_NOBS, P_RB_ACT, P_RB_REW, P_RB_MULT, P_RB_KEYS,
-    P_RB_HASH, P_RB_FPREV, P_RB_FNEXT, P_RB_FREE, P_RB_ORDER,
-    P_MEMO_KEYS, P_MEMO_OBS, P_MEMO_ACT, P_MEMO_HASH,
-    P_DEV_D, P_DEV_I, P_HSS_I, P_HSS_D, P_VICTIMS, P_VSORT,
-) = range(39)
-_NPTR = 39
-
-# ctrl_i slots (kernel.c CI_*).
-(
-    CI_STATUS, CI_I, CI_RESUMED, CI_NTOTAL, CI_WARMUP, CI_SEEN,
-    CI_TRAIN_INT, CI_BATCH, CI_INIT_RAND, CI_CLOCK, CI_CAP0, CI_SLACK,
-    CI_RES0, CI_RES1, CI_HEAD0, CI_TAIL0, CI_HEAD1, CI_TAIL1,
-    CI_PENDING, CI_PEND_ACTION,
-    CI_RB_CAP, CI_RB_NENT, CI_RB_HEAD, CI_RB_TAIL, CI_RB_FREE_N,
-    CI_RB_TOMB, CI_RB_HASHCAP, CI_RB_TOTAL, CI_RB_SLOT_HI,
-    CI_MEMO_N, CI_MEMO_CAP, CI_MEMO_HASHCAP,
-    CI_ACTION, CI_ERR, CI_ORDER_N,
-    CI_SIZE_BINS, CI_INTR_BINS, CI_CNT_BINS, CI_CAP_BINS, CI_NDEV,
-) = range(40)
-_CI_LEN = 40
-
-# ctrl_d slots (kernel.c CD_*).
-(
-    CD_COMPLETION, CD_REWARD_SUM, CD_EPS, CD_UNIT, CD_EVICT_COEF,
-    CD_MAX_REWARD, CD_PEND_REWARD,
-) = range(7)
-_CD_LEN = 7
-
-# Per-device blocks (kernel.c DD_* / DI_*).
-DD_STRIDE = 32
-(
-    DD_NEXT_FREE, DD_BUSY, DD_QWAIT, DD_UTIL, DD_GC_TIME,
-    DD_ROVER, DD_WOVER, DD_RBW, DD_WBW, DD_BI,
-    DD_READ1, DD_GC_THRESH, DD_GC_LAT, DD_GC_DENOM, DD_BUF_LAT,
-    DD_TR_UNIT, DD_BUF_OCC, DD_BUF_LAST,
-    DD_AVG_ROT, DD_MIN_SEEK, DD_SEEK_SPAN,
-) = range(21)
-DI_STRIDE = 24
-(
-    DI_TYPE, DI_READS, DI_WRITES, DI_PR, DI_PW, DI_GC_EVENTS,
-    DI_BUFFERED, DI_WSG, DI_HEAD, DI_TARGET, DI_GC_TRIG, DI_BUF_PAGES,
-    DI_SEQWIN, DI_TRACKSPAN, DI_CAPPAGES, DI_HAS_UTIL, DI_UTIL_CAP,
-) = range(17)
-
-# HSS stats blocks (kernel.c HI_* / HD_*).
-(
-    HI_REQUESTS, HI_READS, HI_WRITES, HI_PROMOTED, HI_DEMOTED,
-    HI_EVENTS, HI_EVICTED, HI_PLACE0, HI_PLACE1,
-) = range(9)
-_HI_LEN = 9
-HD_TOTAL_LAT, HD_EVICT_TIME, HD_LAST_COMPLETION = range(3)
-_HD_LEN = 3
-
-# Status codes.
-_ST_DONE = 0
-_ST_NEED_INFERENCE = 1
-_ST_TRAIN_GATE = 2
-_ST_ERROR = 3
-
 _MEMO_CAP = 1 << 16
 _U64 = (1 << 64) - 1
-
-# Bit-identity literals shared with kernel.c, declared for the
-# SBL-CONST analyzer: every "c"-side value must appear verbatim in the
-# C source, every "py"-side value must match a constant in this
-# module.  Editing either side without the other fails `repro lint`.
-_MIRROR_CONSTANTS = {
-    "pcg64_mult_hi": 2549297995355413924,
-    "pcg64_mult_lo": 4865540595714422341,
-    "pcg64_random_scale": 9007199254740992.0,
-    "fnv1a_offset_basis": 1469598103934665603,
-    "fnv1a_prime": 1099511628211,
-    "f64_abs_mask": 0x7FFFFFFFFFFFFFFF,
-    "f64_mantissa_mask": 0xFFFFFFFFFFFFF,
-    "f16_sign_bit": 0x8000,
-    "f16_nan_bits": 0x7E00,
-    "f16_inf_bits": 0x7C00,
-    "action_memo_capacity": (1 << 16, "py"),
-}
 
 # ------------------------------------------------------------- build
 _lib = None
 _build_error: Optional[str] = None
+_BUILD_DIR = os.path.join(os.path.dirname(__file__), "_build")
+
+
+class _BuildError(Exception):
+    """No usable kernel binary: ``auto`` falls back to NumPy."""
 
 
 def _source_path() -> str:
@@ -145,11 +72,11 @@ def _source_path() -> str:
 def _prune_stale_builds(build_dir: str, keep: str) -> None:
     """Remove content-hashed kernel binaries other than ``keep``.
 
-    Every kernel.c edit produces a new ``kernel-<hash>.so``; without
-    this, ``_build/`` accumulates one orphan per edit forever.  In-flight
-    temp builds (``tmp*`` from :func:`tempfile.mkstemp`) never match the
-    ``kernel-*.so`` pattern, so concurrent builders are safe.  Failures
-    are ignored: pruning is a courtesy, not a correctness step.
+    Every kernel.c or ABI-table edit produces a new ``kernel-<hash>.so``;
+    without this, ``_build/`` accumulates one orphan per edit forever.
+    In-flight temp builds (``tmp*`` from :func:`tempfile.mkdtemp`) never
+    match the ``kernel-*.so`` pattern, so concurrent builders are safe.
+    Failures are ignored: pruning is a courtesy, not a correctness step.
     """
     try:
         names = sorted(os.listdir(build_dir))
@@ -167,50 +94,83 @@ def _prune_stale_builds(build_dir: str, keep: str) -> None:
                 pass
 
 
+def _so_path(header: str) -> str:
+    """The cache path of the kernel built against ``header``."""
+    try:
+        with open(_source_path(), "rb") as fh:
+            code = fh.read()
+    except OSError as exc:
+        raise _BuildError(f"kernel source unreadable: {exc}") from exc
+    digest = hashlib.sha256(code + header.encode()).hexdigest()[:16]
+    return os.path.join(_BUILD_DIR, f"kernel-{digest}.so")
+
+
+def _build(header: str) -> str:
+    """Compile ``kernel.c`` against ``header`` (the generated
+    ``kernel_abi.h``) unless cached; return the ``.so`` path."""
+    so_path = _so_path(header)
+    if os.path.exists(so_path):
+        return so_path
+    try:
+        os.makedirs(_BUILD_DIR, exist_ok=True)
+        # Build in a private temp dir (header + .so) then rename, so
+        # concurrent builders never load a half-written library.
+        tmp_dir = tempfile.mkdtemp(dir=_BUILD_DIR)
+        try:
+            with open(os.path.join(tmp_dir, "kernel_abi.h"), "w") as fh:
+                fh.write(header)
+            tmp_so = os.path.join(tmp_dir, "kernel.so")
+            cmd = [
+                "gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
+                "-I", tmp_dir, "-o", tmp_so, _source_path(), "-lm",
+            ]
+            with _span("kernel.build", cat="kernel", so=os.path.basename(so_path)):
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise _BuildError(f"compiler failed: {proc.stderr.strip()[:500]}")
+            os.replace(tmp_so, so_path)
+        finally:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _BuildError(f"build failed: {exc}") from exc
+    _prune_stale_builds(_BUILD_DIR, os.path.basename(so_path))
+    return so_path
+
+
 def _load() -> Optional[ctypes.CDLL]:
-    """Build (if needed) and load the kernel; None when unavailable."""
+    """Build (if needed) and load the kernel; None when unavailable.
+
+    Raises ``RuntimeError`` when the cached library reports a different
+    ABI digest than this table: that is a corrupt build cache, not a
+    missing toolchain, so it must not fall back silently.
+    """
     global _lib, _build_error
     if _lib is not None or _build_error is not None:
         return _lib
-    src = _source_path()
     try:
-        with open(src, "rb") as fh:
-            code = fh.read()
-    except OSError as exc:
-        _build_error = f"kernel source unreadable: {exc}"
+        so_path = _build(abi.header())
+    except _BuildError as exc:
+        _build_error = str(exc)
         return None
-    digest = hashlib.sha256(code).hexdigest()[:16]
-    build_dir = os.path.join(os.path.dirname(src), "_build")
-    so_path = os.path.join(build_dir, f"kernel-{digest}.so")
-    if not os.path.exists(so_path):
-        try:
-            os.makedirs(build_dir, exist_ok=True)
-            # Build to a temp name then rename, so concurrent builders
-            # never load a half-written library.
-            fd, tmp = tempfile.mkstemp(dir=build_dir, suffix=".so")
-            os.close(fd)
-            cmd = [
-                "gcc", "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-                "-o", tmp, src, "-lm",
-            ]
-            with _span("kernel.build", cat="kernel", digest=digest):
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                os.unlink(tmp)
-                _build_error = f"compiler failed: {proc.stderr.strip()[:500]}"
-                return None
-            os.replace(tmp, so_path)
-            _prune_stale_builds(build_dir, os.path.basename(so_path))
-        except (OSError, subprocess.SubprocessError) as exc:
-            _build_error = f"build failed: {exc}"
-            return None
     try:
         lib = ctypes.CDLL(so_path)
-        lib.sib_run.restype = ctypes.c_longlong
-        lib.sib_run.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
     except OSError as exc:
         _build_error = f"load failed: {exc}"
         return None
+    want = abi.digest()
+    try:
+        lib.sib_abi.restype = ctypes.c_char_p
+        lib.sib_abi.argtypes = []
+        got = lib.sib_abi().decode()
+    except AttributeError:
+        got = "none (no sib_abi export)"
+    if got != want:
+        raise RuntimeError(
+            f"kernel ABI mismatch: {so_path} reports table digest {got}, "
+            f"abi.py declares {want}; delete the stale build"
+        )
+    lib.sib_run.restype = ctypes.c_longlong
+    lib.sib_run.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
     _lib = lib
     return _lib
 
@@ -235,16 +195,14 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _rng_state_to_words(rng: np.random.Generator) -> np.ndarray:
+def _rng_state_to_words(rng: np.random.Generator, words: np.ndarray) -> np.ndarray:
     st = rng.bit_generator.state
     s, inc = st["state"]["state"], st["state"]["inc"]
-    return np.array(
-        [
-            (s >> 64) & _U64, s & _U64, (inc >> 64) & _U64, inc & _U64,
-            int(st["has_uint32"]), int(st["uinteger"]),
-        ],
-        dtype=np.uint64,
-    )
+    words[:] = [
+        (s >> 64) & _U64, s & _U64, (inc >> 64) & _U64, inc & _U64,
+        int(st["has_uint32"]), int(st["uinteger"]),
+    ]
+    return words
 
 
 def _rng_words_to_state(rng: np.random.Generator, words: np.ndarray) -> None:
@@ -287,7 +245,7 @@ def _kernel_ready(run, trace: TraceSoA) -> bool:
     counts = policy.action_counts
     if (
         not isinstance(counts, np.ndarray)
-        or counts.dtype != np.int64
+        or counts.dtype != abi.DTYPES["action_counts"]
         or not counts.flags["C_CONTIGUOUS"]
     ):
         return False
@@ -301,79 +259,79 @@ def _seed_device(run, d: int, dd: np.ndarray, di: np.ndarray) -> None:
     dev = hss.devices[d]
     spec = dev.spec
     stats = dev.stats
-    drow = dd[d * DD_STRIDE:]
-    irow = di[d * DI_STRIDE:]
-    drow[DD_NEXT_FREE] = dev._next_free_s
-    drow[DD_BUSY] = stats.busy_time_s
-    drow[DD_QWAIT] = stats.queue_wait_s
-    drow[DD_UTIL] = getattr(dev, "utilization", 0.0)
-    drow[DD_GC_TIME] = stats.gc_time_s
-    drow[DD_ROVER] = spec.read_overhead_s
-    drow[DD_WOVER] = spec.write_overhead_s
-    drow[DD_RBW] = spec.read_bandwidth_bps
-    drow[DD_WBW] = spec.write_bandwidth_bps
-    drow[DD_BI] = dev.background_interference
-    irow[DI_READS] = stats.reads
-    irow[DI_WRITES] = stats.writes
-    irow[DI_PR] = stats.pages_read
-    irow[DI_PW] = stats.pages_written
-    irow[DI_GC_EVENTS] = stats.gc_events
+    drow = dd[d * DD.stride:]
+    irow = di[d * DI.stride:]
+    drow[DD.NEXT_FREE] = dev._next_free_s
+    drow[DD.BUSY] = stats.busy_time_s
+    drow[DD.QWAIT] = stats.queue_wait_s
+    drow[DD.UTIL] = getattr(dev, "utilization", 0.0)
+    drow[DD.GC_TIME] = stats.gc_time_s
+    drow[DD.ROVER] = spec.read_overhead_s
+    drow[DD.WOVER] = spec.write_overhead_s
+    drow[DD.RBW] = spec.read_bandwidth_bps
+    drow[DD.WBW] = spec.write_bandwidth_bps
+    drow[DD.BI] = dev.background_interference
+    irow[DI.READS] = stats.reads
+    irow[DI.WRITES] = stats.writes
+    irow[DI.PR] = stats.pages_read
+    irow[DI.PW] = stats.pages_written
+    irow[DI.GC_EVENTS] = stats.gc_events
     ssd = hss._ssd[d]
-    irow[DI_HAS_UTIL] = 0 if ssd is None else 1
-    irow[DI_UTIL_CAP] = 1 if ssd is None else hss._util_cap[d]
+    irow[DI.HAS_UTIL] = 0 if ssd is None else 1
+    irow[DI.UTIL_CAP] = 1 if ssd is None else hss._util_cap[d]
     if isinstance(dev, HDDDevice):
         config = dev.config
-        irow[DI_TYPE] = 1
-        drow[DD_AVG_ROT] = config.avg_rotational_s
-        drow[DD_MIN_SEEK] = config.min_seek_s
-        drow[DD_SEEK_SPAN] = config.max_seek_s - config.min_seek_s
-        irow[DI_HEAD] = dev._head_page
-        irow[DI_TARGET] = dev.target_page
-        irow[DI_SEQWIN] = config.sequential_window_pages
-        irow[DI_TRACKSPAN] = config.track_span_pages
-        irow[DI_CAPPAGES] = max(1, spec.capacity_pages)
+        irow[DI.TYPE] = 1
+        drow[DD.AVG_ROT] = config.avg_rotational_s
+        drow[DD.MIN_SEEK] = config.min_seek_s
+        drow[DD.SEEK_SPAN] = config.max_seek_s - config.min_seek_s
+        irow[DI.HEAD] = dev._head_page
+        irow[DI.TARGET] = dev.target_page
+        irow[DI.SEQWIN] = config.sequential_window_pages
+        irow[DI.TRACKSPAN] = config.track_span_pages
+        irow[DI.CAPPAGES] = max(1, spec.capacity_pages)
     else:
         config = dev.config
-        irow[DI_TYPE] = 0
-        drow[DD_READ1] = dev._read_1pg_s
-        drow[DD_GC_THRESH] = config.gc_threshold
-        drow[DD_GC_LAT] = config.gc_latency_s
-        drow[DD_GC_DENOM] = max(1e-9, 1.0 - config.gc_threshold)
-        drow[DD_BUF_LAT] = config.buffered_write_latency_s
-        drow[DD_TR_UNIT] = 4096.0 / spec.write_bandwidth_bps
-        drow[DD_BUF_OCC] = dev._buffer_occupancy
-        drow[DD_BUF_LAST] = dev._buffer_last_drain_s
-        irow[DI_WSG] = dev._writes_since_gc
-        irow[DI_BUFFERED] = stats.buffered_writes
-        irow[DI_GC_TRIG] = config.gc_trigger_pages
-        irow[DI_BUF_PAGES] = config.buffer_pages
+        irow[DI.TYPE] = 0
+        drow[DD.READ1] = dev._read_1pg_s
+        drow[DD.GC_THRESH] = config.gc_threshold
+        drow[DD.GC_LAT] = config.gc_latency_s
+        drow[DD.GC_DENOM] = max(1e-9, 1.0 - config.gc_threshold)
+        drow[DD.BUF_LAT] = config.buffered_write_latency_s
+        drow[DD.TR_UNIT] = 4096.0 / spec.write_bandwidth_bps
+        drow[DD.BUF_OCC] = dev._buffer_occupancy
+        drow[DD.BUF_LAST] = dev._buffer_last_drain_s
+        irow[DI.WSG] = dev._writes_since_gc
+        irow[DI.BUFFERED] = stats.buffered_writes
+        irow[DI.GC_TRIG] = config.gc_trigger_pages
+        irow[DI.BUF_PAGES] = config.buffer_pages
 
 
 def _writeback_device(run, d: int, dd: np.ndarray, di: np.ndarray) -> None:
     hss = run.hss
     dev = hss.devices[d]
     stats = dev.stats
-    drow = dd[d * DD_STRIDE:]
-    irow = di[d * DI_STRIDE:]
-    dev._next_free_s = float(drow[DD_NEXT_FREE])
-    stats.busy_time_s = float(drow[DD_BUSY])
-    stats.queue_wait_s = float(drow[DD_QWAIT])
-    stats.gc_time_s = float(drow[DD_GC_TIME])
-    stats.reads = int(irow[DI_READS])
-    stats.writes = int(irow[DI_WRITES])
-    stats.pages_read = int(irow[DI_PR])
-    stats.pages_written = int(irow[DI_PW])
-    stats.gc_events = int(irow[DI_GC_EVENTS])
+    drow = dd[d * DD.stride:]
+    irow = di[d * DI.stride:]
+    dev._next_free_s = float(drow[DD.NEXT_FREE])
+    stats.busy_time_s = float(drow[DD.BUSY])
+    stats.queue_wait_s = float(drow[DD.QWAIT])
+    stats.gc_time_s = float(drow[DD.GC_TIME])
+    stats.reads = int(irow[DI.READS])
+    stats.writes = int(irow[DI.WRITES])
+    stats.pages_read = int(irow[DI.PR])
+    stats.pages_written = int(irow[DI.PW])
+    stats.gc_events = int(irow[DI.GC_EVENTS])
     if isinstance(dev, HDDDevice):
-        dev._head_page = int(irow[DI_HEAD])
-        dev.target_page = int(irow[DI_TARGET])
+        dev._head_page = int(irow[DI.HEAD])
+        dev.target_page = int(irow[DI.TARGET])
     else:
-        dev._buffer_occupancy = float(drow[DD_BUF_OCC])
-        dev._buffer_last_drain_s = float(drow[DD_BUF_LAST])
-        dev._writes_since_gc = int(irow[DI_WSG])
-        stats.buffered_writes = int(irow[DI_BUFFERED])
+        dev._buffer_occupancy = float(drow[DD.BUF_OCC])
+        dev._buffer_last_drain_s = float(drow[DD.BUF_LAST])
+        dev._writes_since_gc = int(irow[DI.WSG])
+        stats.buffered_writes = int(irow[DI.BUFFERED])
     if isinstance(dev, SSDDevice):
-        dev.utilization = float(drow[DD_UTIL])
+        dev.utilization = float(drow[DD.UTIL])
 
 
 class _KernelRun:
@@ -390,7 +348,7 @@ class _KernelRun:
         uniq = trace.touched_pages()
         self.uniq = uniq
         n_pages = len(uniq)
-        dpage = np.searchsorted(uniq, trace.pages).astype(np.int64)
+        dpage = np.searchsorted(uniq, trace.pages).astype(abi.DTYPES["dpage"])
 
         buf = policy.buffer
         cap = buf.capacity
@@ -398,110 +356,111 @@ class _KernelRun:
         # kernel writes rows in place, so training-time gathers read
         # the live arrays.  (The serial path grows these geometrically;
         # the final export trims back to the serial length.)
-        buf._obs = np.zeros((cap, 6), dtype=np.float64)
-        buf._next_obs = np.zeros((cap, 6), dtype=np.float64)
-        buf._actions = np.zeros(cap, dtype=np.int64)
-        buf._rewards = np.zeros(cap, dtype=np.float64)
-        buf._mult = np.zeros(cap, dtype=np.float64)
+        buf._obs = abi.array("rb_obs", (cap, 6))
+        buf._next_obs = abi.array("rb_nobs", (cap, 6))
+        buf._actions = abi.array("rb_act", cap)
+        buf._rewards = abi.array("rb_rew", cap)
+        buf._mult = abi.array("rb_mult", cap)
         rb_hashcap = _next_pow2(max(64, 2 * cap))
 
         hp = policy.hyperparams
         spec = policy.extractor.spec
         reward_fn = policy.reward_fn
 
-        ci = np.zeros(_CI_LEN, dtype=np.int64)
-        cd = np.zeros(_CD_LEN, dtype=np.float64)
-        ci[CI_I] = 0
-        ci[CI_NTOTAL] = n
-        ci[CI_WARMUP] = run._warmup_end
-        ci[CI_SEEN] = policy._requests_seen
-        ci[CI_TRAIN_INT] = hp.train_interval
-        ci[CI_BATCH] = hp.batch_size
-        ci[CI_INIT_RAND] = hp.initial_random_requests
-        ci[CI_CLOCK] = hss.tracker._clock
-        ci[CI_CAP0] = hss.capacity_pages[0]
-        ci[CI_SLACK] = hss.eviction_slack_pages
-        ci[CI_HEAD0] = ci[CI_TAIL0] = ci[CI_HEAD1] = ci[CI_TAIL1] = -1
-        ci[CI_RB_CAP] = cap
-        ci[CI_RB_HEAD] = ci[CI_RB_TAIL] = -1
-        ci[CI_RB_HASHCAP] = rb_hashcap
-        ci[CI_MEMO_CAP] = _MEMO_CAP
-        ci[CI_MEMO_HASHCAP] = _MEMO_CAP * 2
-        ci[CI_SIZE_BINS] = spec.size_bins
-        ci[CI_INTR_BINS] = spec.intr_bins
-        ci[CI_CNT_BINS] = spec.cnt_bins
-        ci[CI_CAP_BINS] = spec.cap_bins
-        ci[CI_NDEV] = hss.n_devices
-        cd[CD_COMPLETION] = run._completion_s
-        cd[CD_EPS] = hp.exploration_rate
-        cd[CD_UNIT] = reward_fn.unit_latency_s
-        cd[CD_EVICT_COEF] = reward_fn.eviction_penalty_coefficient
-        cd[CD_MAX_REWARD] = reward_fn.max_reward
+        ci = abi.array("ci", len(CI))
+        cd = abi.array("cd", len(CD))
+        ci[CI.I] = 0
+        ci[CI.NTOTAL] = n
+        ci[CI.WARMUP] = run._warmup_end
+        ci[CI.SEEN] = policy._requests_seen
+        ci[CI.TRAIN_INT] = hp.train_interval
+        ci[CI.BATCH] = hp.batch_size
+        ci[CI.INIT_RAND] = hp.initial_random_requests
+        ci[CI.CLOCK] = hss.tracker._clock
+        ci[CI.CAP0] = hss.capacity_pages[0]
+        ci[CI.SLACK] = hss.eviction_slack_pages
+        ci[CI.HEAD0] = ci[CI.TAIL0] = ci[CI.HEAD1] = ci[CI.TAIL1] = -1
+        ci[CI.RB_CAP] = cap
+        ci[CI.RB_HEAD] = ci[CI.RB_TAIL] = -1
+        ci[CI.RB_HASHCAP] = rb_hashcap
+        ci[CI.MEMO_CAP] = _MEMO_CAP
+        ci[CI.MEMO_HASHCAP] = _MEMO_CAP * 2
+        ci[CI.SIZE_BINS] = spec.size_bins
+        ci[CI.INTR_BINS] = spec.intr_bins
+        ci[CI.CNT_BINS] = spec.cnt_bins
+        ci[CI.CAP_BINS] = spec.cap_bins
+        ci[CI.NDEV] = hss.n_devices
+        cd[CD.COMPLETION] = run._completion_s
+        cd[CD.EPS] = hp.exploration_rate
+        cd[CD.UNIT] = reward_fn.unit_latency_s
+        cd[CD.EVICT_COEF] = reward_fn.eviction_penalty_coefficient
+        cd[CD.MAX_REWARD] = reward_fn.max_reward
 
-        dd = np.zeros(2 * DD_STRIDE, dtype=np.float64)
-        di = np.zeros(2 * DI_STRIDE, dtype=np.int64)
+        dd = abi.array("dd", 2 * DD.stride)
+        di = abi.array("di", 2 * DI.stride)
         for d in range(2):
             _seed_device(run, d, dd, di)
 
-        hi = np.zeros(_HI_LEN, dtype=np.int64)
+        hi = abi.array("hi", len(HI))
         stats = hss.stats
-        hi[HI_REQUESTS] = stats.requests
-        hi[HI_READS] = stats.reads
-        hi[HI_WRITES] = stats.writes
-        hi[HI_PROMOTED] = stats.promoted_pages
-        hi[HI_DEMOTED] = stats.demoted_pages
-        hi[HI_EVENTS] = stats.eviction_events
-        hi[HI_EVICTED] = stats.evicted_pages
-        hi[HI_PLACE0] = stats.placements[0]
-        hi[HI_PLACE1] = stats.placements[1]
-        hd = np.array(
-            [stats.total_latency_s, stats.eviction_time_s,
-             stats.last_completion_s],
-            dtype=np.float64,
-        )
+        hi[HI.REQUESTS] = stats.requests
+        hi[HI.READS] = stats.reads
+        hi[HI.WRITES] = stats.writes
+        hi[HI.PROMOTED] = stats.promoted_pages
+        hi[HI.DEMOTED] = stats.demoted_pages
+        hi[HI.EVENTS] = stats.eviction_events
+        hi[HI.EVICTED] = stats.evicted_pages
+        hi[HI.PLACE0] = stats.placements[0]
+        hi[HI.PLACE1] = stats.placements[1]
+        hd = abi.array("hd", len(HD))
+        hd[HD.TOTAL_LAT] = stats.total_latency_s
+        hd[HD.EVICT_TIME] = stats.eviction_time_s
+        hd[HD.LAST_COMPLETION] = stats.last_completion_s
 
-        self.arrays = arrays = [None] * _NPTR
-        arrays[P_CTRL_I] = ci
-        arrays[P_CTRL_D] = cd
-        arrays[P_TS] = np.ascontiguousarray(trace.timestamps)
-        arrays[P_OP] = np.ascontiguousarray(trace.ops)
-        arrays[P_DPAGE] = dpage
-        arrays[P_SIZE] = np.ascontiguousarray(trace.sizes)
-        arrays[P_UNIQ] = uniq
-        arrays[P_LOC] = np.full(n_pages, -1, dtype=np.int8)
-        arrays[P_LRU_PREV] = np.full(n_pages, -1, dtype=np.int32)
-        arrays[P_LRU_NEXT] = np.full(n_pages, -1, dtype=np.int32)
-        arrays[P_CNT] = np.zeros(n_pages, dtype=np.int64)
-        arrays[P_LAST] = np.full(n_pages, -1, dtype=np.int64)
-        arrays[P_MAXIMA] = np.ascontiguousarray(
-            policy.extractor._maxima_arr, dtype=np.float64
-        )
-        arrays[P_OBS_MAIL] = np.zeros(6, dtype=np.float64)
-        arrays[P_PEND_OBS] = np.zeros(6, dtype=np.float64)
-        arrays[P_PEND_KEY] = np.zeros(24, dtype=np.uint8)
-        arrays[P_ACTION_COUNTS] = np.asarray(policy.action_counts)
-        arrays[P_RNG] = _rng_state_to_words(policy.rng)
-        arrays[P_RB_OBS] = buf._obs
-        arrays[P_RB_NOBS] = buf._next_obs
-        arrays[P_RB_ACT] = buf._actions
-        arrays[P_RB_REW] = buf._rewards
-        arrays[P_RB_MULT] = buf._mult
-        arrays[P_RB_KEYS] = np.zeros(cap * 51, dtype=np.uint8)
-        arrays[P_RB_HASH] = np.full(rb_hashcap, -1, dtype=np.int32)
-        arrays[P_RB_FPREV] = np.full(cap, -1, dtype=np.int32)
-        arrays[P_RB_FNEXT] = np.full(cap, -1, dtype=np.int32)
-        arrays[P_RB_FREE] = np.zeros(cap, dtype=np.int32)
-        arrays[P_RB_ORDER] = np.zeros(cap, dtype=np.int64)
-        arrays[P_MEMO_KEYS] = np.zeros(_MEMO_CAP * 24, dtype=np.uint8)
-        arrays[P_MEMO_OBS] = np.zeros((_MEMO_CAP, 6), dtype=np.float64)
-        arrays[P_MEMO_ACT] = np.zeros(_MEMO_CAP, dtype=np.int32)
-        arrays[P_MEMO_HASH] = np.full(_MEMO_CAP * 2, -1, dtype=np.int32)
-        arrays[P_DEV_D] = dd
-        arrays[P_DEV_I] = di
-        arrays[P_HSS_I] = hi
-        arrays[P_HSS_D] = hd
-        arrays[P_VICTIMS] = np.zeros(n_pages + 1, dtype=np.int32)
-        arrays[P_VSORT] = np.zeros(n_pages + 1, dtype=np.int32)
+        self.arrays = {
+            "ci": ci,
+            "cd": cd,
+            "ts": np.ascontiguousarray(trace.timestamps),
+            "op": np.ascontiguousarray(trace.ops),
+            "dpage": dpage,
+            "size": np.ascontiguousarray(trace.sizes),
+            "uniq": uniq,
+            "loc": abi.array("loc", n_pages, -1),
+            "lprev": abi.array("lprev", n_pages, -1),
+            "lnext": abi.array("lnext", n_pages, -1),
+            "cnt": abi.array("cnt", n_pages),
+            "last": abi.array("last", n_pages, -1),
+            "maxima": np.ascontiguousarray(
+                policy.extractor._maxima_arr, dtype=abi.DTYPES["maxima"]
+            ),
+            "obs_mail": abi.array("obs_mail", 6),
+            "pend_obs": abi.array("pend_obs", 6),
+            "pend_key": abi.array("pend_key", 24),
+            "action_counts": np.asarray(policy.action_counts),
+            "rngst": _rng_state_to_words(policy.rng, abi.array("rngst", 6)),
+            "rb_obs": buf._obs,
+            "rb_nobs": buf._next_obs,
+            "rb_act": buf._actions,
+            "rb_rew": buf._rewards,
+            "rb_mult": buf._mult,
+            "rb_keys": abi.array("rb_keys", cap * 51),
+            "rb_hash": abi.array("rb_hash", rb_hashcap, -1),
+            "rb_fprev": abi.array("rb_fprev", cap, -1),
+            "rb_fnext": abi.array("rb_fnext", cap, -1),
+            "rb_free": abi.array("rb_free", cap),
+            "rb_order": abi.array("rb_order", cap),
+            "memo_keys": abi.array("memo_keys", _MEMO_CAP * 24),
+            "memo_obs": abi.array("memo_obs", (_MEMO_CAP, 6)),
+            "memo_act": abi.array("memo_act", _MEMO_CAP),
+            "memo_hash": abi.array("memo_hash", _MEMO_CAP * 2, -1),
+            "dd": dd,
+            "di": di,
+            "hi": hi,
+            "hd": hd,
+            "victims": abi.array("victims", n_pages + 1),
+            "vsort": abi.array("vsort", n_pages + 1),
+        }
+        self.ptrs = abi.pack(self.arrays)
 
         self.ci = ci
         self.cd = cd
@@ -511,21 +470,16 @@ class _KernelRun:
         self.hd = hd
         self.gate_total: Optional[int] = None
 
-        ptrs = (ctypes.c_void_p * _NPTR)()
-        for k, arr in enumerate(arrays):
-            ptrs[k] = arr.ctypes.data_as(ctypes.c_void_p).value
-        self.ptrs = ptrs
-
     # ------------------------------------------------------- barriers
     def _slot_key(self, slot: int) -> bytes:
-        keys = self.arrays[P_RB_KEYS]
+        keys = self.arrays["rb_keys"]
         return bytes(keys[slot * 51:(slot + 1) * 51])
 
     def _rebuild_entries(self) -> None:
         """Mirror the kernel's FIFO onto ``buffer._entries`` (the dedup
         map in insertion order), exactly as the serial adds left it."""
         buf = self.policy.buffer
-        order = self.arrays[P_RB_ORDER][: int(self.ci[CI_ORDER_N])]
+        order = self.arrays["rb_order"][: int(self.ci[CI.ORDER_N])]
         entries: "OrderedDict[bytes, int]" = OrderedDict()
         for slot in order.tolist():
             entries[self._slot_key(slot)] = slot
@@ -537,10 +491,10 @@ class _KernelRun:
         """Mirror the kernel's action memo onto the agent's dicts, in
         insertion order (``_refresh_action_cache`` iterates it)."""
         policy = self.policy
-        n = int(self.ci[CI_MEMO_N])
-        keys = self.arrays[P_MEMO_KEYS]
-        obs = self.arrays[P_MEMO_OBS]
-        act = self.arrays[P_MEMO_ACT]
+        n = int(self.ci[CI.MEMO_N])
+        keys = self.arrays["memo_keys"]
+        obs = self.arrays["memo_obs"]
+        act = self.arrays["memo_act"]
         memo = {}
         cache_obs = {}
         for k in range(n):
@@ -553,31 +507,30 @@ class _KernelRun:
     def _import_memo_actions(self) -> None:
         """Write the post-training action memo back into the kernel."""
         policy = self.policy
-        n = int(self.ci[CI_MEMO_N])
+        n = int(self.ci[CI.MEMO_N])
         cache = policy._action_cache
         if len(cache) == n and n > 0:
-            self.arrays[P_MEMO_ACT][:n] = np.fromiter(
-                cache.values(), dtype=np.int32, count=n
-            )
+            memo_act = self.arrays["memo_act"]
+            memo_act[:n] = np.fromiter(cache.values(), dtype=memo_act.dtype, count=n)
         elif not cache:
             # _refresh_action_cache cleared an oversized memo.
-            self.ci[CI_MEMO_N] = 0
-            self.arrays[P_MEMO_HASH].fill(-1)
+            self.ci[CI.MEMO_N] = 0
+            self.arrays["memo_hash"].fill(-1)
 
     def handle_inference(self) -> None:
-        obs = self.arrays[P_OBS_MAIL]
-        self.ci[CI_ACTION] = int(self.policy.inference_net.best_action(obs))
+        obs = self.arrays["obs_mail"]
+        self.ci[CI.ACTION] = int(self.policy.inference_net.best_action(obs))
 
     def handle_train_gate(self) -> None:
         policy = self.policy
-        _rng_words_to_state(policy.rng, self.arrays[P_RNG])
+        _rng_words_to_state(policy.rng, self.arrays["rngst"])
         self._rebuild_entries()
         self._export_memo()
-        self.gate_total = int(self.ci[CI_RB_TOTAL])
+        self.gate_total = int(self.ci[CI.RB_TOTAL])
         policy.train_begin()
         policy.train_commit()
         self._import_memo_actions()
-        self.arrays[P_RNG][:] = _rng_state_to_words(policy.rng)
+        _rng_state_to_words(policy.rng, self.arrays["rngst"])
 
     # -------------------------------------------------------- export
     def _trim_buffer_arrays(self) -> None:
@@ -585,7 +538,7 @@ class _KernelRun:
         geometric-growth schedule of ``_allocate``/``_grow``)."""
         buf = self.policy.buffer
         cap = buf.capacity
-        slot_hi = int(self.ci[CI_RB_SLOT_HI])
+        slot_hi = int(self.ci[CI.RB_SLOT_HI])
         length = min(cap, 1024)
         while length < slot_hi:
             length = min(cap, 2 * length)
@@ -600,18 +553,18 @@ class _KernelRun:
         hss = self.hss
         ci, cd = self.ci, self.cd
 
-        run._completion_s = float(cd[CD_COMPLETION])
-        run._index = int(ci[CI_NTOTAL])
+        run._completion_s = float(cd[CD.COMPLETION])
+        run._index = int(ci[CI.NTOTAL])
         run.finished = True
 
-        _rng_words_to_state(policy.rng, self.arrays[P_RNG])
-        policy._requests_seen = int(ci[CI_SEEN])
-        if ci[CI_PENDING]:
+        _rng_words_to_state(policy.rng, self.arrays["rngst"])
+        policy._requests_seen = int(ci[CI.SEEN])
+        if ci[CI.PENDING]:
             policy._pending = (
-                self.arrays[P_PEND_OBS].copy(),
-                int(ci[CI_PEND_ACTION]),
-                float(cd[CD_PEND_REWARD]),
-                bytes(self.arrays[P_PEND_KEY]),
+                self.arrays["pend_obs"].copy(),
+                int(ci[CI.PEND_ACTION]),
+                float(cd[CD.PEND_REWARD]),
+                bytes(self.arrays["pend_key"]),
             )
         else:
             policy._pending = None
@@ -619,8 +572,8 @@ class _KernelRun:
 
         buf = policy.buffer
         self._rebuild_entries()
-        buf._free = self.arrays[P_RB_FREE][: int(ci[CI_RB_FREE_N])].tolist()
-        buf._total_added = int(ci[CI_RB_TOTAL])
+        buf._free = self.arrays["rb_free"][: int(ci[CI.RB_FREE_N])].tolist()
+        buf._total_added = int(ci[CI.RB_TOTAL])
         if self.gate_total is not None and buf._total_added == self.gate_total:
             # No mutation since the last training event: the serial
             # buffer still holds the caches that event's sampling
@@ -631,17 +584,17 @@ class _KernelRun:
 
         tracker = hss.tracker
         uniq = self.uniq
-        cnt = self.arrays[P_CNT]
-        last = self.arrays[P_LAST]
+        cnt = self.arrays["cnt"]
+        last = self.arrays["last"]
         touched = np.nonzero(last >= 0)[0]
         pages = uniq[touched].tolist()
         tracker._count = dict(zip(pages, cnt[touched].tolist()))
         tracker._last_access = dict(zip(pages, last[touched].tolist()))
-        tracker._clock = int(ci[CI_CLOCK])
+        tracker._clock = int(ci[CI.CLOCK])
 
         table = hss.table
-        loc = self.arrays[P_LOC]
-        lnext = self.arrays[P_LRU_NEXT]
+        loc = self.arrays["loc"]
+        lnext = self.arrays["lnext"]
         mapped = np.nonzero(loc >= 0)[0]
         table._location = dict(
             zip(uniq[mapped].tolist(), loc[mapped].astype(int).tolist())
@@ -649,30 +602,30 @@ class _KernelRun:
         for d in range(2):
             resident = table._resident[d]
             resident.clear()
-            p = int(ci[CI_HEAD0 + 2 * d])
+            p = int(ci[CI.HEAD0 + 2 * d])
             while p >= 0:
                 resident[int(uniq[p])] = None
                 p = int(lnext[p])
 
         stats = hss.stats
         hi, hd = self.hi, self.hd
-        stats.requests = int(hi[HI_REQUESTS])
-        stats.reads = int(hi[HI_READS])
-        stats.writes = int(hi[HI_WRITES])
-        stats.promoted_pages = int(hi[HI_PROMOTED])
-        stats.demoted_pages = int(hi[HI_DEMOTED])
-        stats.eviction_events = int(hi[HI_EVENTS])
-        stats.evicted_pages = int(hi[HI_EVICTED])
-        stats.placements = [int(hi[HI_PLACE0]), int(hi[HI_PLACE1])]
-        stats.total_latency_s = float(hd[HD_TOTAL_LAT])
-        stats.eviction_time_s = float(hd[HD_EVICT_TIME])
-        stats.last_completion_s = float(hd[HD_LAST_COMPLETION])
+        stats.requests = int(hi[HI.REQUESTS])
+        stats.reads = int(hi[HI.READS])
+        stats.writes = int(hi[HI.WRITES])
+        stats.promoted_pages = int(hi[HI.PROMOTED])
+        stats.demoted_pages = int(hi[HI.DEMOTED])
+        stats.eviction_events = int(hi[HI.EVENTS])
+        stats.evicted_pages = int(hi[HI.EVICTED])
+        stats.placements = [int(hi[HI.PLACE0]), int(hi[HI.PLACE1])]
+        stats.total_latency_s = float(hd[HD.TOTAL_LAT])
+        stats.eviction_time_s = float(hd[HD.EVICT_TIME])
+        stats.last_completion_s = float(hd[HD.LAST_COMPLETION])
 
         for d in range(2):
             _writeback_device(run, d, self.dd, self.di)
 
         if lanes is not None:
-            lanes.snapshot(lane, run, float(cd[CD_REWARD_SUM]))
+            lanes.snapshot(lane, run, float(cd[CD.REWARD_SUM]))
 
 
 def run_one_c(
@@ -701,18 +654,18 @@ def run_one_c(
     with _span("kernel.invoke", cat="kernel", lane=lane, requests=trace.n):
         while True:
             status = lib.sib_run(state.ptrs)
-            if status == _ST_DONE:
+            if status == ST.DONE:
                 break
-            if status == _ST_NEED_INFERENCE:
+            if status == ST.NEED_INFERENCE:
                 n_inference += 1
                 state.handle_inference()
-            elif status == _ST_TRAIN_GATE:
+            elif status == ST.TRAIN_GATE:
                 n_train += 1
                 state.handle_train_gate()
             else:
                 raise RuntimeError(
                     "compiled tick kernel aborted "
-                    f"(err={int(state.ci[CI_ERR])}, i={int(state.ci[CI_I])})"
+                    f"(err={int(state.ci[CI.ERR])}, i={int(state.ci[CI.I])})"
                 )
     state.export(lanes, lane)
     if sink is not None:

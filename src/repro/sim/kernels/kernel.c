@@ -14,7 +14,8 @@
  *     exact double->half (round-to-nearest-even) conversion.
  *
  * The kernel owns no Python objects.  The caller (engine_c.py) passes
- * one table of raw array pointers; everything the serial path mutates
+ * one table of raw array pointers, laid out by the generated
+ * kernel_abi.h (see abi.py); everything the serial path mutates
  * lives in those arrays and is written back to the live objects at the
  * end.  Work the kernel cannot do natively suspends the run instead:
  * sib_run() returns NEED_INFERENCE (action-memo miss -> the caller runs
@@ -27,99 +28,15 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* ------------------------------------------------------------------ ABI */
-/* Pointer-table indices; engine_c.py mirrors these constants. */
-enum {
-    P_CTRL_I, P_CTRL_D, P_TS, P_OP, P_DPAGE, P_SIZE, P_UNIQ, P_LOC,
-    P_LRU_PREV, P_LRU_NEXT, P_CNT, P_LAST, P_MAXIMA, P_OBS_MAIL,
-    P_PEND_OBS, P_PEND_KEY, P_ACTION_COUNTS, P_RNG,
-    P_RB_OBS, P_RB_NOBS, P_RB_ACT, P_RB_REW, P_RB_MULT, P_RB_KEYS,
-    P_RB_HASH, P_RB_FPREV, P_RB_FNEXT, P_RB_FREE, P_RB_ORDER,
-    P_MEMO_KEYS, P_MEMO_OBS, P_MEMO_ACT, P_MEMO_HASH,
-    P_DEV_D, P_DEV_I, P_HSS_I, P_HSS_D, P_VICTIMS, P_VSORT,
-    P_NPTR
-};
+/* The ABI -- pointer-table slots and the S struct over them, the
+ * CI_/CD_/HI_/HD_ control and stats blocks, the strided DD_/DI_
+ * per-device blocks and the ST_ status codes -- is declared once in
+ * abi.py and generated into this header at build time. */
+#include "kernel_abi.h"
 
-/* ctrl_i slots */
-enum {
-    CI_STATUS, CI_I, CI_RESUMED, CI_NTOTAL, CI_WARMUP, CI_SEEN,
-    CI_TRAIN_INT, CI_BATCH, CI_INIT_RAND, CI_CLOCK, CI_CAP0, CI_SLACK,
-    CI_RES0, CI_RES1, CI_HEAD0, CI_TAIL0, CI_HEAD1, CI_TAIL1,
-    CI_PENDING, CI_PEND_ACTION,
-    CI_RB_CAP, CI_RB_NENT, CI_RB_HEAD, CI_RB_TAIL, CI_RB_FREE_N,
-    CI_RB_TOMB, CI_RB_HASHCAP, CI_RB_TOTAL, CI_RB_SLOT_HI,
-    CI_MEMO_N, CI_MEMO_CAP, CI_MEMO_HASHCAP,
-    CI_ACTION, CI_ERR, CI_ORDER_N,
-    CI_SIZE_BINS, CI_INTR_BINS, CI_CNT_BINS, CI_CAP_BINS, CI_NDEV,
-    CI_LEN
-};
-
-/* ctrl_d slots */
-enum {
-    CD_COMPLETION, CD_REWARD_SUM, CD_EPS, CD_UNIT, CD_EVICT_COEF,
-    CD_MAX_REWARD, CD_PEND_REWARD,
-    CD_LEN
-};
-
-/* per-device f64 block (stride 32) */
-enum {
-    DD_NEXT_FREE, DD_BUSY, DD_QWAIT, DD_UTIL, DD_GC_TIME,
-    DD_ROVER, DD_WOVER, DD_RBW, DD_WBW, DD_BI,
-    DD_READ1, DD_GC_THRESH, DD_GC_LAT, DD_GC_DENOM, DD_BUF_LAT,
-    DD_TR_UNIT, DD_BUF_OCC, DD_BUF_LAST,
-    DD_AVG_ROT, DD_MIN_SEEK, DD_SEEK_SPAN,
-};
-#define DD_STRIDE 32
-
-/* per-device i64 block (stride 24) */
-enum {
-    DI_TYPE, DI_READS, DI_WRITES, DI_PR, DI_PW, DI_GC_EVENTS,
-    DI_BUFFERED, DI_WSG, DI_HEAD, DI_TARGET, DI_GC_TRIG, DI_BUF_PAGES,
-    DI_SEQWIN, DI_TRACKSPAN, DI_CAPPAGES, DI_HAS_UTIL, DI_UTIL_CAP,
-};
-#define DI_STRIDE 24
-
-/* HSS stats */
-enum {
-    HI_REQUESTS, HI_READS, HI_WRITES, HI_PROMOTED, HI_DEMOTED,
-    HI_EVENTS, HI_EVICTED, HI_PLACE0, HI_PLACE1, HI_LEN
-};
-enum { HD_TOTAL_LAT, HD_EVICT_TIME, HD_LAST_COMPLETION, HD_LEN };
-
-/* sib_run status codes */
-enum { ST_DONE = 0, ST_NEED_INFERENCE = 1, ST_TRAIN_GATE = 2, ST_ERROR = 3 };
-
-typedef struct {
-    int64_t *ci;
-    double *cd;
-    const double *ts;
-    const uint8_t *op;
-    const int64_t *dpage;
-    const int64_t *size;
-    const int64_t *uniq;
-    int8_t *loc;
-    int32_t *lprev, *lnext;
-    int64_t *cnt, *last;
-    const double *maxima;
-    double *obs_mail, *pend_obs;
-    uint8_t *pend_key;
-    int64_t *action_counts;
-    uint64_t *rngst;
-    double *rb_obs, *rb_nobs;
-    int64_t *rb_act;
-    double *rb_rew, *rb_mult;
-    uint8_t *rb_keys;
-    int32_t *rb_hash, *rb_fprev, *rb_fnext, *rb_free;
-    int64_t *rb_order;
-    uint8_t *memo_keys;
-    double *memo_obs;
-    int32_t *memo_act, *memo_hash;
-    double *dd;
-    int64_t *di;
-    int64_t *hi;
-    double *hd;
-    int32_t *victims, *vsort;
-} S;
+/* The table digest this library was built against; engine_c.py
+ * refuses to load a build whose digest differs from its own table. */
+const char *sib_abi(void) { return SIB_ABI_DIGEST; }
 
 /* ------------------------------------------------- PCG64 (numpy exact) */
 typedef struct {
@@ -612,45 +529,7 @@ static inline int64_t log2b(int64_t v, int64_t nb) {
 long long sib_run(void **p) {
     S st;
     S *s = &st;
-    s->ci = (int64_t *)p[P_CTRL_I];
-    s->cd = (double *)p[P_CTRL_D];
-    s->ts = (const double *)p[P_TS];
-    s->op = (const uint8_t *)p[P_OP];
-    s->dpage = (const int64_t *)p[P_DPAGE];
-    s->size = (const int64_t *)p[P_SIZE];
-    s->uniq = (const int64_t *)p[P_UNIQ];
-    s->loc = (int8_t *)p[P_LOC];
-    s->lprev = (int32_t *)p[P_LRU_PREV];
-    s->lnext = (int32_t *)p[P_LRU_NEXT];
-    s->cnt = (int64_t *)p[P_CNT];
-    s->last = (int64_t *)p[P_LAST];
-    s->maxima = (const double *)p[P_MAXIMA];
-    s->obs_mail = (double *)p[P_OBS_MAIL];
-    s->pend_obs = (double *)p[P_PEND_OBS];
-    s->pend_key = (uint8_t *)p[P_PEND_KEY];
-    s->action_counts = (int64_t *)p[P_ACTION_COUNTS];
-    s->rngst = (uint64_t *)p[P_RNG];
-    s->rb_obs = (double *)p[P_RB_OBS];
-    s->rb_nobs = (double *)p[P_RB_NOBS];
-    s->rb_act = (int64_t *)p[P_RB_ACT];
-    s->rb_rew = (double *)p[P_RB_REW];
-    s->rb_mult = (double *)p[P_RB_MULT];
-    s->rb_keys = (uint8_t *)p[P_RB_KEYS];
-    s->rb_hash = (int32_t *)p[P_RB_HASH];
-    s->rb_fprev = (int32_t *)p[P_RB_FPREV];
-    s->rb_fnext = (int32_t *)p[P_RB_FNEXT];
-    s->rb_free = (int32_t *)p[P_RB_FREE];
-    s->rb_order = (int64_t *)p[P_RB_ORDER];
-    s->memo_keys = (uint8_t *)p[P_MEMO_KEYS];
-    s->memo_obs = (double *)p[P_MEMO_OBS];
-    s->memo_act = (int32_t *)p[P_MEMO_ACT];
-    s->memo_hash = (int32_t *)p[P_MEMO_HASH];
-    s->dd = (double *)p[P_DEV_D];
-    s->di = (int64_t *)p[P_DEV_I];
-    s->hi = (int64_t *)p[P_HSS_I];
-    s->hd = (double *)p[P_HSS_D];
-    s->victims = (int32_t *)p[P_VICTIMS];
-    s->vsort = (int32_t *)p[P_VSORT];
+    sib_unpack(s, p);
 
     int64_t *ci = s->ci;
     double *cd = s->cd;

@@ -53,7 +53,7 @@ class TestAnalysisMain:
         assert analysis_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("SBL-DET", "SBL-HOOK", "SBL-FPR", "SBL-ENV",
-                        "SBL-FORK", "SBL-ABI", "SBL-DTYPE", "SBL-CONST"):
+                        "SBL-FORK"):
             assert rule_id in out
 
 

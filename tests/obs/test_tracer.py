@@ -1,6 +1,7 @@
 """Unit tests for the span tracer (repro.obs.tracer)."""
 
 import json
+import threading
 
 import pytest
 
@@ -74,6 +75,35 @@ class TestFlush:
         assert isinstance(doc["traceEvents"], list)
         assert doc["traceEvents"][0]["name"] == "work"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_concurrent_flushes_leave_one_whole_trace(self, tmp_path):
+        # A serving daemon's reaper thread and the CLI's exit path both
+        # flush the process tracer; released together they must neither
+        # tear the file nor strand a temp file.
+        path = tmp_path / "trace.json"
+        tracer = SpanTracer(path=str(path), capacity=4096)
+        for k in range(2000):
+            tracer.instant("e", k=k)
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def flush():
+            try:
+                barrier.wait()
+                tracer.flush()
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=flush) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        doc = json.loads(path.read_text())
+        assert len(doc["traceEvents"]) == 2000
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
 
     def test_flush_without_path_raises(self):
         with pytest.raises(ValueError):
